@@ -21,6 +21,8 @@ package is the machinery that *hunts* for the places they disagree:
   to a small repro;
 * :mod:`repro.audit.corpus` — JSON serialization of shrunk repros under
   ``tests/data/audit_corpus/``;
+* :mod:`repro.audit.reference` — the scan-loop oracle of the stage-1
+  seeding engine (:func:`~repro.audit.reference.seed_groups_reference`);
 * :mod:`repro.audit.runner` — the ``repro audit`` session: corpus replay
   followed by budgeted fuzzing, plus the mutation-style self-test that
   proves the harness catches an injected pair-sum off-by-one.
@@ -36,6 +38,7 @@ from repro.audit.corpus import (
 from repro.audit.differential import run_differential
 from repro.audit.fuzzer import FuzzConfig, fuzz_instance
 from repro.audit.invariants import AuditFinding, audit_assignment, oracle_total
+from repro.audit.reference import seed_groups_reference
 from repro.audit.runner import (
     AuditOutcome,
     SelfTestResult,
@@ -62,5 +65,6 @@ __all__ = [
     "run_differential",
     "run_self_test",
     "save_corpus_entry",
+    "seed_groups_reference",
     "shrink_instance",
 ]

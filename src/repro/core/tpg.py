@@ -12,11 +12,16 @@ Two stages:
    the highest marginal revenue gain ``DeltaQ`` (Equation 4) until tasks
    are full or workers run out.
 
-The implementation keeps the asymptotics of the paper's analysis
-(``max(O(m n n_bar), O(m_bar n^2))``) but adds two standard engineering
-touches: stage 1 caches each task's best set and only recomputes sets that
-lost a member to an assignment, and stage 2 uses a version-stamped heap so
-each commit re-scores only the pairs of the task whose membership changed.
+Both stages avoid rescanning everything per commit. Stage 1 caches each
+task's best set in a version-stamped max-heap and keeps a worker -> tasks
+index over the cached sets, so a commit costs ``O(B * d_w)`` index and
+candidate-count updates (``d_w`` the degree of a taken worker) plus one
+set build and one ``O(log m)`` heap push per task whose set lost a
+member. Those sets are recomputed eagerly, at commit time: above
+:data:`EXACT_SEED_THRESHOLD` candidates the greedy is not monotone under
+candidate removal, so a stale score bounds nothing. Stage 2 uses a
+version-stamped heap so each commit re-scores only the pairs of the task
+whose membership changed.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from repro.core.model import Instance
 from repro.core.stats import SolverStats
 from repro.core.validity import ValidPairs, compute_valid_pairs
 
-__all__ = ["solve_tpg", "greedy_best_group", "TPGResult"]
+__all__ = ["solve_tpg", "greedy_best_group", "seed_groups", "TPGResult"]
 
 
 @dataclass(frozen=True)
@@ -221,8 +226,16 @@ def _solve_tpg_full(
     stats = SolverStats(solver="TPG")
 
     started = time.perf_counter()
-    seeded = _stage_one(
-        instance, valid_pairs, assignment, available, kernel=kernel, stats=stats
+    seeded = set(
+        seed_groups(
+            instance,
+            valid_pairs,
+            assignment,
+            available,
+            range(instance.task_count),
+            kernel=kernel,
+            stats=stats,
+        )
     )
     stage_one_done = time.perf_counter()
     _stage_two(
@@ -241,74 +254,116 @@ def _solve_tpg_full(
     return TPGResult(assignment=assignment, seeded_tasks=len(seeded), stats=stats)
 
 
-def _stage_one(
+def seed_groups(
     instance: Instance,
     valid_pairs: ValidPairs,
     assignment: Assignment,
     available: np.ndarray,
+    tasks,
     kernel: str = DEFAULT_KERNEL,
     stats: SolverStats | None = None,
-) -> set[int]:
-    """Seed tasks with B-worker groups; returns the seeded task set."""
+    floor: float = -np.inf,
+    share_ties: bool = True,
+) -> list[int]:
+    """Commit best ``B``-groups to ``tasks``, highest revenue first.
+
+    The seeding engine of TPG stage 1 and of the shard border seeding
+    (:func:`repro.core.sharding.reconcile.seed_border_groups`). Every
+    task in ``tasks`` gets its best group over the ``available`` workers
+    among its candidates (:func:`greedy_best_group`, candidates in
+    ``workers_for_task`` order); the task whose group scores highest
+    commits, its members become unavailable, and every task whose
+    cached group lost a member is re-evaluated at once. Commits stop
+    when no live group scores strictly above ``floor``. Score ties go
+    to the lowest task id; with ``share_ties``, a later tied task whose
+    group equals the running best's (as a list) takes over when it has
+    strictly more available candidates (paper lines 6-9).
+
+    A max-heap of version-stamped ``(-score, task)`` entries and a
+    worker -> tasks index over the cached groups make a commit cost the
+    tasks it touches, not all open tasks. Re-evaluation is eager: above
+    :data:`EXACT_SEED_THRESHOLD` candidates the greedy is not monotone
+    under candidate removal, so an old score bounds nothing. ``available``
+    and ``assignment`` are updated in place; returns the seeded tasks in
+    commit order.
+    """
     minimum = instance.min_group_size
     quality = instance.quality
     buffers = quality.as_kernel_buffers() if kernel == "native" else None
-    open_tasks = set(range(instance.task_count))
-    seeded: set[int] = set()
-    # Cached best group per task; invalidated when a member gets taken.
-    cache: dict[int, tuple[list[int], float]] = {}
+    workers_for_task = valid_pairs.workers_for_task
+    tasks_for_worker = valid_pairs.tasks_for_worker
+    groups: dict[int, list[int]] = {}  # cached best group per live task
+    holders: dict[int, set[int]] = {}  # worker -> tasks whose group has it
+    versions = [0] * instance.task_count
+    heap: list[tuple[float, int, int]] = []  # (-score, task, version)
 
-    while open_tasks:
-        best_task, best_group, best_score = -1, [], -np.inf
-        dead_tasks: list[int] = []
-        for task in open_tasks:
-            if task not in cache:
-                candidates = [
-                    worker
-                    for worker in valid_pairs.workers_for_task[task]
-                    if available[worker]
-                ]
-                cache[task] = greedy_best_group(
-                    quality, candidates, minimum, buffers=buffers, stats=stats
-                )
-            group, score = cache[task]
-            if not group:
-                dead_tasks.append(task)
-                continue
-            if score > best_score:
-                best_task, best_group, best_score = task, group, score
-            elif score == best_score and best_group == group:
-                # Competition for the same set: prefer the task with the
-                # most remaining candidates (paper lines 6-9).
-                if _candidate_count(valid_pairs, available, task) > _candidate_count(
-                    valid_pairs, available, best_task
-                ):
-                    best_task = task
-        for task in dead_tasks:
-            open_tasks.discard(task)
-            cache.pop(task, None)
-        if best_task < 0:
+    def evaluate(task: int) -> None:
+        versions[task] += 1  # whatever the heap holds for the task is stale
+        candidates = [
+            worker for worker in workers_for_task[task] if available[worker]
+        ]
+        group, score = greedy_best_group(
+            quality, candidates, minimum, buffers=buffers, stats=stats
+        )
+        if not group:
+            return  # too few candidates left: the task is dead for good
+        groups[task] = group
+        for worker in group:
+            holders.setdefault(worker, set()).add(task)
+        heapq.heappush(heap, (-score, task, versions[task]))
+
+    counts: list[int] = []
+    if share_ties:
+        counts = [len(workers) for workers in workers_for_task]
+        for worker in np.flatnonzero(~available).tolist():
+            for task in tasks_for_worker[worker]:
+                counts[task] -= 1
+
+    for task in sorted(set(tasks)):
+        evaluate(task)
+    seeded: list[int] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        negative_score, best_task, version = entry
+        if version != versions[best_task]:
+            continue
+        if not -negative_score > floor:
             break
+        best_group = groups[best_task]
+        if share_ties:
+            # Tied entries pop in ascending task id, as the running best
+            # of a first-max scan would meet them.
+            tied = [entry]
+            while heap and heap[0][0] == negative_score:
+                other = heapq.heappop(heap)
+                task = other[1]
+                if other[2] != versions[task]:
+                    continue
+                tied.append(other)
+                if groups[task] == best_group and counts[task] > counts[best_task]:
+                    best_task = task
+            for other in tied:
+                if other[1] != best_task:
+                    heapq.heappush(heap, other)
 
+        del groups[best_task]
+        stale: set[int] = set()
         for worker in best_group:
             assignment.assign(worker, best_task)
             available[worker] = False
-        open_tasks.discard(best_task)
-        cache.pop(best_task, None)
-        seeded.add(best_task)
-        taken = set(best_group)
-        stale = [
-            t for t, (group, _) in cache.items() if not taken.isdisjoint(group)
-        ]
-        for task in stale:
-            del cache[task]
+            stale.update(holders.pop(worker, ()))
+            if share_ties:
+                for task in tasks_for_worker[worker]:
+                    counts[task] -= 1
+        seeded.append(best_task)
+        stale.discard(best_task)
+        for task in sorted(stale):
+            for worker in groups.pop(task):
+                members = holders.get(worker)
+                if members is not None:
+                    members.discard(task)
+            evaluate(task)
     return seeded
-
-
-def _candidate_count(
-    valid_pairs: ValidPairs, available: np.ndarray, task: int
-) -> int:
-    return sum(1 for worker in valid_pairs.workers_for_task[task] if available[worker])
 
 
 def _stage_two(

@@ -247,8 +247,10 @@ def _compute_indexed(
         # (fewer non-candidates scanned per bucket), the batched path
         # wants coarse cells (fewer rectangle groups, so the per-group
         # numpy dispatch overhead amortizes over bigger blocks).
-        multiplier = _GRID_VECTOR_CELL_MULTIPLIER if vectorized else 1.0
-        cell = max(mean_radius * multiplier, 1e-6)
+        if vectorized:
+            cell = _vector_cell_size(mean_radius)
+        else:
+            cell = max(mean_radius, 1e-6)
         index = GridIndex.build(task_items, cell_size=cell)
 
     max_remaining = _max_remaining(instance)
@@ -290,6 +292,12 @@ def compute_valid_pairs_reference(instance: Instance) -> ValidPairs:
 #: wider candidate superset (cheap float32 prefilter cells) for far
 #: fewer worker rectangle groups; ~3x is the sweet spot at n = 20k.
 _GRID_VECTOR_CELL_MULTIPLIER = 3.0
+
+
+def _vector_cell_size(mean_radius: float) -> float:
+    """Grid cell size of the vectorized build for a mean worker radius."""
+    return max(float(mean_radius) * _GRID_VECTOR_CELL_MULTIPLIER, 1e-6)
+
 
 #: Row-chunk budget for the batched distance matrices: a worker-group's
 #: (rows x candidates) block is processed in slices of at most this many
@@ -527,10 +535,13 @@ class IncrementalValidityIndex:
     candidate order cannot matter (``ValidPairs.from_worker_lists``
     sorts), the range query filters by exact distance, and every
     candidate passes the exact per-task ``_deadline_ok`` check — so the
-    outcome is invariant to the index's cell size, which here is fixed
-    at construction instead of re-derived from each round's mean worker
-    radius. The equivalence is asserted round-by-round by the test
-    suite.
+    outcome is invariant to the index's cell size. The index owns its
+    cell rule: ``mean_radius`` (fixed at construction instead of
+    re-derived from each round's workers) is scaled by the same
+    :data:`_GRID_VECTOR_CELL_MULTIPLIER` the fresh vectorized build
+    applies, since both batch their queries through
+    :func:`_grid_valid_lists`. The equivalence is asserted
+    round-by-round by the test suite.
 
     Stale-deadline contract: the reach bound's ``max_remaining`` is
     re-derived from the *live* task set on every delta — an expired or
@@ -540,8 +551,8 @@ class IncrementalValidityIndex:
     bound-tightness invariant is pinned by a regression test.)
     """
 
-    def __init__(self, cell_size: float) -> None:
-        self._index = GridIndex(cell_size=max(float(cell_size), 1e-6))
+    def __init__(self, mean_radius: float) -> None:
+        self._index = GridIndex(cell_size=_vector_cell_size(mean_radius))
         self._tasks: dict[int, Task] = {}
         self._max_deadline = -np.inf
         self._max_stale = False

@@ -280,13 +280,13 @@ class BatchSimulator:
         next_task_id = 0
         validity_index: IncrementalValidityIndex | None = None
         if config.incremental_validity and config.validity_strategy == "grid":
-            # Fixed cell size (the mean configured radius) instead of the
-            # per-round mean of materialized radii: the incremental index
-            # outlives any single round, and ValidPairs results are
-            # invariant to the cell size (exact distance + deadline
-            # filters, sorted candidate lists).
+            # The mean configured radius instead of the per-round mean of
+            # materialized radii: the incremental index outlives any
+            # single round and derives its own cell size from it, and
+            # ValidPairs results are invariant to the cell size (exact
+            # distance + deadline filters, sorted candidate lists).
             validity_index = IncrementalValidityIndex(
-                cell_size=sum(config.radius_range) / 2.0
+                mean_radius=sum(config.radius_range) / 2.0
             )
 
         for round_index in range(config.rounds):

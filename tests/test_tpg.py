@@ -188,3 +188,125 @@ class TestExactBestGroup:
         greedy_group, greedy_score = greedy_best_group(q, candidates, 3)
         exact_group, exact_score = exact_best_group(q, candidates, 3)
         assert greedy_score == pytest.approx(exact_score)
+
+
+def _crafted(q, reach, minimum=2):
+    """An instance whose validity is ``reach`` (task -> reachable workers).
+
+    Every task's capacity is ``minimum``, so stage 2 adds nothing and the
+    assignment shows stage 1's commits as they were made.
+    """
+    from repro.core.model import Instance, Task, Worker
+    from repro.core.validity import ValidPairs
+    from repro.spatial.geometry import Point
+
+    size = len(q)
+    workers = [
+        Worker(worker_id=i, location=Point(0.0, 0.0), speed=1.0, radius=1.0)
+        for i in range(size)
+    ]
+    tasks = [
+        Task(task_id=j, location=Point(0.0, 0.0), capacity=minimum, deadline=9.0)
+        for j in range(len(reach))
+    ]
+    instance = Instance(
+        workers=workers,
+        tasks=tasks,
+        quality=CooperationMatrix(np.asarray(q, dtype=float)),
+        min_group_size=minimum,
+    )
+    per_worker = [
+        [task for task, reachable in enumerate(reach) if worker in reachable]
+        for worker in range(size)
+    ]
+    return instance, ValidPairs.from_worker_lists(per_worker, len(reach))
+
+
+def _pair_quality(size, edges):
+    q = np.zeros((size, size))
+    for (i, k), value in edges.items():
+        q[i, k] = q[k, i] = value
+    return q
+
+
+class TestStageOneTieBreak:
+    """Paper lines 6-9: tasks tied on the same group, and the other ties."""
+
+    def test_two_tasks_tied_on_one_group_go_to_wider_choice(self):
+        # Both tasks' best group is [0, 1] at the same score; task 1 keeps
+        # three candidates to task 0's two, so task 1 takes the group.
+        q = _pair_quality(3, {(0, 1): 0.9, (0, 2): 0.1, (1, 2): 0.1})
+        instance, pairs = _crafted(q, [{0, 1}, {0, 1, 2}])
+        result = solve_tpg_with_stats(instance, pairs)
+        assert set(result.assignment.members(1)) == {0, 1}
+        assert set(result.assignment.members(0)) == set()
+        assert result.seeded_tasks == 1
+
+    @pytest.mark.parametrize(
+        "reach, winner",
+        [
+            # Candidate counts 2, 4, 3: the widest task wins.
+            ([{0, 1}, {0, 1, 2, 3}, {0, 1, 2}], 1),
+            # Counts 2, 3, 3: a later task must be strictly wider than
+            # the running best to take over.
+            ([{0, 1}, {0, 1, 2}, {0, 1, 3}], 1),
+            # Counts 3, 2, 4.
+            ([{0, 1, 2}, {0, 1}, {0, 1, 2, 3}], 2),
+        ],
+    )
+    def test_three_tasks_tied_on_one_group(self, reach, winner):
+        q = _pair_quality(4, {(0, 1): 0.9, (2, 3): 0.1})
+        instance, pairs = _crafted(q, reach)
+        result = solve_tpg_with_stats(instance, pairs)
+        assert set(result.assignment.members(winner)) == {0, 1}
+        for task in range(3):
+            if task != winner:
+                assert not {0, 1} & set(result.assignment.members(task))
+
+    def test_equal_scores_on_different_groups_go_to_lowest_id(self):
+        # Task 0's best is [0, 1] and task 1's is [1, 2], both at 1.8.
+        # Task 1 has more candidates, but the groups differ, so the lower
+        # id commits first and task 1 falls back to [2, 3].
+        q = _pair_quality(4, {(0, 1): 0.9, (1, 2): 0.9, (2, 3): 0.1})
+        instance, pairs = _crafted(q, [{0, 1}, {1, 2, 3}])
+        assignment = solve_tpg(instance, pairs)
+        assert set(assignment.members(0)) == {0, 1}
+        assert set(assignment.members(1)) == {2, 3}
+
+
+class TestBorderSeedingRules:
+    @staticmethod
+    def _seed(instance, pairs):
+        from repro.core.assignment import Assignment
+        from repro.core.sharding.reconcile import seed_border_groups
+
+        assignment = Assignment(instance, pairs, allow_overflow=True)
+        seeded = seed_border_groups(
+            instance,
+            pairs,
+            assignment,
+            range(instance.worker_count),
+            range(instance.task_count),
+        )
+        return seeded, assignment
+
+    def test_ties_go_to_lowest_task_id(self):
+        # The stage-1 instance where the wider task 1 wins under TPG: the
+        # border rule ignores candidate counts.
+        q = _pair_quality(3, {(0, 1): 0.9, (0, 2): 0.1, (1, 2): 0.1})
+        instance, pairs = _crafted(q, [{0, 1}, {0, 1, 2}])
+        seeded, assignment = self._seed(instance, pairs)
+        assert seeded == 2
+        assert set(assignment.members(0)) == {0, 1}
+        assert set(assignment.members(1)) == set()
+
+    def test_only_strictly_positive_groups_commit(self):
+        # Task 0's only group scores 0.0: TPG seeds it, border seeding
+        # does not.
+        q = _pair_quality(4, {(0, 1): 0.5})
+        instance, pairs = _crafted(q, [{2, 3}, {0, 1}])
+        seeded, assignment = self._seed(instance, pairs)
+        assert seeded == 2
+        assert set(assignment.members(0)) == set()
+        assert set(assignment.members(1)) == {0, 1}
+        assert set(solve_tpg(instance, pairs).members(0)) == {2, 3}

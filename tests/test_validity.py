@@ -213,7 +213,7 @@ class TestIncrementalValidityIndex:
         from repro.spatial.geometry import Point
 
         rng = np.random.default_rng(11)
-        index = IncrementalValidityIndex(cell_size=0.2)
+        index = IncrementalValidityIndex(mean_radius=0.2)
         pool: list[Task] = []
         next_id = 0
         for round_index in range(6):
@@ -275,7 +275,7 @@ class TestIncrementalValidityIndex:
             task_id=1, location=Point(0.9, 0.0), capacity=3,
             deadline=2.5, created_time=0.0,
         )
-        index = IncrementalValidityIndex(cell_size=0.2)
+        index = IncrementalValidityIndex(mean_radius=0.2)
 
         index.sync([only_candidate, far_short])
         first = self._instance([worker], [only_candidate, far_short], now=0.0)
@@ -299,13 +299,26 @@ class TestIncrementalValidityIndex:
         # Positional index 0 — the fresh task is reachable (0.1 travel).
         assert incremental.tasks_for_worker[0] == (0,)
 
+    def test_cell_size_follows_the_vectorized_build(self):
+        # Both run _grid_valid_lists, so the index sizes its cells by the
+        # same multiple of the mean radius as a fresh vectorized build.
+        from repro.core.validity import (
+            _GRID_VECTOR_CELL_MULTIPLIER,
+            IncrementalValidityIndex,
+        )
+
+        index = IncrementalValidityIndex(mean_radius=0.05)
+        assert index._index.cell_size == pytest.approx(
+            0.05 * _GRID_VECTOR_CELL_MULTIPLIER
+        )
+
     def test_sync_rejects_duplicate_ids_and_unsynced_compute(self):
         from repro.core.model import Task, Worker
         from repro.core.validity import IncrementalValidityIndex
         from repro.spatial.geometry import Point
 
         task = Task(task_id=0, location=Point(0.5, 0.5), capacity=3, deadline=2.0)
-        index = IncrementalValidityIndex(cell_size=0.25)
+        index = IncrementalValidityIndex(mean_radius=0.25)
         with pytest.raises(ValueError):
             index.sync([task, task])
         worker = Worker(worker_id=0, location=Point(0.5, 0.5), speed=0.1, radius=1.0)
